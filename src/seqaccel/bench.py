@@ -152,7 +152,8 @@ def run(config: RunConfig) -> BenchmarkReport:
                     abs_error=(abs(entry.value - ref) if good and ref is not None else None),
                     status=entry.status.value,
                 ))
-    rows.sort(key=lambda r: (r.problem, r.transform != _INPUT, r.transform, r.budget))
+    order = {_INPUT: -1} | {t.label(): i for i, t in enumerate(config.transforms)}
+    rows.sort(key=lambda r: (r.problem, order[r.transform], r.budget))
     meta = {
         "version": __version__,
         "precision": "IEEE binary64",

@@ -677,10 +677,8 @@ def apply(spec: TransformSpec, sample: SequenceSample) -> TransformTable:
     except KeyError:
         from difflib import get_close_matches
 
-        hints = get_close_matches(spec.kind, _BUILDERS, n=3)
-        raise BadParameter(
-            f"unknown transform {spec.kind!r}" + (f" (did you mean {hints}?)" if hints else "")
-        ) from None
+        hints = get_close_matches(spec.kind, _BUILDERS, n=3) or sorted(_BUILDERS)
+        raise BadParameter(f"unknown transform {spec.kind!r} (did you mean {hints}?)") from None
     return builder(sample, spec)
 
 

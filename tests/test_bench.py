@@ -2,6 +2,9 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +236,27 @@ class TestCli:
         code = cli_main(["run", "--problem", "no-such-series", "--transform", "seps"])
         assert code == 2
         assert "did you mean" in capsys.readouterr().err
+
+    def test_negative_start_exit_two(self, capsys):
+        code = cli_main(["run", "--problem", "model-log:start=-1", "--transform", "epsilon"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_check_never_loads_scipy(self):
+        # A fresh interpreter, so that modules the test session loaded do not count.
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import sys\n"
+            "from seqaccel import cli\n"
+            "assert cli.main(['check', '--fixture', 'table6']) == 0\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_config_file_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"

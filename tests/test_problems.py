@@ -98,7 +98,7 @@ class TestE1Quadrature:
     def test_against_scipy_exp1(self):
         from scipy.special import exp1
 
-        for z in (0.5, 1.0, 3.0, 10.0):
+        for z in (0.01, 0.5, 1.0, 3.0, 10.0, 100.0):
             ref = e1_quadrature(z)
             expected = z * math.exp(z) * exp1(z)
             assert abs(ref.value - expected) / expected <= 1e-12
@@ -114,8 +114,9 @@ class TestE1Quadrature:
         assert 0.4 < ref.value < 0.7
 
     def test_domain(self):
-        with pytest.raises(BadParameter):
-            e1_quadrature(-1.0)
+        for z in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(BadParameter):
+                e1_quadrature(z)
 
 
 class TestSequenceShapes:
