@@ -1,11 +1,15 @@
 """Levin-type transformations driven by explicit remainder estimates.
 
-The general transformation divides two binomial sums of weighted
-``S_{n+j} / w_{n+j}`` and ``1 / w_{n+j}`` values, where ``w_n`` estimates the
-remainder ``S_n - S``.  The ``u`` and ``v`` variants derive the estimates
-from the input data itself and therefore start one element late (they read
-``S_{n-1}``).  Low-order explicit forms are provided separately because they
-double as starting values for the blended epsilon/theta scheme.
+``L_k^(n)`` divides two k-th weighted differences, of ``S_{n+j} / w_{n+j}``
+and of ``1 / w_{n+j}``, where ``w_n`` estimates the remainder ``S_n - S``
+(Levin, Int. J. Comput. Math. B3 (1973) 371-388).  Both are built a column
+at a time by ``Y_{k+1}^(n) = Y_k^(n+1) - c_k^(n) Y_k^(n)`` with
+``c_k^(n) = (beta+n) (beta+n+k)^(k-1) / (beta+n+k+1)^k``, in O(N^2) for the
+whole table (Fessler, Ford & Smith, ACM TOMS 9 (1983) 346-354; Weniger,
+Comput. Phys. Rep. 10 (1989) 189-371, eq. 7.2-8).  The ``u`` and ``v``
+variants derive the estimates from the input data itself and therefore
+start one element late (they read ``S_{n-1}``).  The closed second-order
+forms ``u2_explicit`` and ``v1_explicit`` serve the tests as oracles.
 """
 
 from __future__ import annotations
@@ -84,17 +88,6 @@ class RemainderEstimates:
         return RemainderEstimates(tuple(vals), "v")
 
 
-def _coefficient(beta: float, n: int, j: int, k: int) -> float:
-    """Binomial weight with the power of the shift ratio formed first.
-
-    Forming ``(beta+n+j)/(beta+n+k)`` before exponentiation keeps the weights
-    of order one even for k around 20, where the raw powers would overflow.
-    """
-    sign = -1.0 if j % 2 else 1.0
-    ratio = (beta + n + j) / (beta + n + k)
-    return sign * math.comb(k, j) * ratio ** (k - 1)
-
-
 def levin_general(
     sample: SequenceSample,
     beta: float = 1.0,
@@ -105,7 +98,7 @@ def levin_general(
     The offsets ``n`` index positions into the sample, whose first element
     must be the sequence's own first element (the weights depend explicitly
     on ``n``).  Entries exist wherever all needed estimates exist;
-    sub-guard estimates or denominator sums mark entries unstable.
+    sub-guard estimates or denominators mark entries unstable.
     """
     if not (beta > 0.0 and math.isfinite(beta)):
         raise BadParameter(f"levin_general needs beta > 0, got {beta!r}")
@@ -116,46 +109,36 @@ def levin_general(
     s = sample.values
     N = sample.last_offset
     guard = guard_threshold()
-    w = omega.values
-    if len(w) < len(s):
-        w = w + (None,) * (len(s) - len(w))
+    w = omega.values[:N + 1] + (None,) * (N + 1 - len(omega.values))
 
     lookback = 1 if omega.policy in ("u", "v") else 0
     extra = 1 if omega.policy == "v" else 0  # w_n of the v kind reads S_{n+1}
 
-    values: dict[tuple[int, int], float] = {}
-    status: dict[tuple[int, int], EntryStatus] = {}
-    for n in range(N + 1):
-        if w[n] is None:
-            continue
-        for k in range(0, N - n + 1 - extra):
-            window = [w[n + j] for j in range(k + 1)]
-            if any(x is None for x in window):
-                continue
-            key = (k, n)
-            if any(not math.isfinite(x) or abs(x) < guard for x in window):
-                values[key], status[key] = math.nan, EntryStatus.UNSTABLE
-                continue
-            if k == 0:
-                # empty difference operator: the transform is the identity
-                values[key], status[key] = s[n], EntryStatus.VALID
-                continue
-            num = 0.0
-            den = 0.0
-            for j in range(k + 1):
-                c = _coefficient(beta, n, j, k)
-                num += c * s[n + j] / window[j]
-                den += c / window[j]
-            if abs(den) < guard or not math.isfinite(num) or not math.isfinite(den):
-                values[key], status[key] = math.nan, EntryStatus.UNSTABLE
-                continue
-            v = num / den
-            if math.isfinite(v):
-                values[key], status[key] = v, EntryStatus.VALID
-            else:
-                values[key], status[key] = math.nan, EntryStatus.UNSTABLE
-
-    entries = {key: TableEntry(values[key], status[key]) for key in values}
+    # run[n]: how many estimates from w_n on exist; entry (k, n) needs k < run[n].
+    run = [0] * (N + 2)
+    for n in range(N, -1, -1):
+        run[n] = run[n + 1] + 1 if w[n] is not None else 0
+    # A missing, non-finite or sub-guard estimate is seeded as NaN, which the
+    # recursion carries into exactly the entries whose window touches it.
+    usable = [x is not None and math.isfinite(x) and abs(x) >= guard for x in w]
+    num = [s[n] / w[n] if usable[n] else math.nan for n in range(N + 1)]
+    den = [1.0 / w[n] if usable[n] else math.nan for n in range(N + 1)]
+    unstable = TableEntry(math.nan, EntryStatus.UNSTABLE)
+    # k = 0 is the empty difference operator: the transform is the identity
+    entries = {(0, n): TableEntry(s[n], EntryStatus.VALID) if usable[n] else unstable
+               for n in range(N + 1 - extra) if run[n]}
+    for k in range(1, N + 1 - extra):
+        # column k from column k-1, with c = (beta+n) (beta+n+k-1)^(k-2) / (beta+n+k)^(k-1)
+        # formed from the ratio first so that nothing overflows at large k; c is
+        # exactly 1 at k = 1, as the first difference has unit weights
+        for n in range(N + 1 - k):
+            b = beta + n
+            c = b / (b + k - 1) * ((b + k - 1) / (b + k)) ** (k - 1)
+            p = num[n] = num[n + 1] - c * num[n]
+            q = den[n] = den[n + 1] - c * den[n]
+            if k < run[n] and n <= N - k - extra:
+                v = p / q if math.isfinite(q) and abs(q) >= guard else math.nan
+                entries[k, n] = TableEntry(v, EntryStatus.VALID) if math.isfinite(v) else unstable
     spec = TransformSpec(f"levin-{omega.policy}" if omega.policy != "explicit" else "levin",
                          beta=beta)
     return TransformTable(

@@ -176,24 +176,31 @@ def _model_tail(spec: ProblemSpec, n: int) -> float:
     return sum(c * float(n) ** (eta - j) for j, c in enumerate(spec.coeffs))
 
 
-def _gen_model_log(spec: ProblemSpec) -> list[float]:
+def _model_values(spec: ProblemSpec, weight) -> list[float]:
+    """``limit + weight(n) * tail(n)`` for the spec's indices ``n``."""
     start = spec.start_index or 1
-    return [spec.limit + _model_tail(spec, n) for n in range(start, start + spec.count)]
+    values = []
+    for n in range(start, start + spec.count):
+        try:
+            values.append(spec.limit + weight(n) * _model_tail(spec, n))
+        except OverflowError:
+            raise BadParameter(f"{spec.label()} overflows a double at n = {n}") from None
+    return values
+
+
+def _gen_model_log(spec: ProblemSpec) -> list[float]:
+    return _model_values(spec, lambda n: 1.0)
 
 
 def _gen_model_linear(spec: ProblemSpec) -> list[float]:
     xi = 0.5 if spec.xi is None else spec.xi
-    start = spec.start_index or 1
-    return [spec.limit + xi ** n * _model_tail(spec, n)
-            for n in range(start, start + spec.count)]
+    return _model_values(spec, lambda n: xi ** n)
 
 
 def _gen_model_hyper(spec: ProblemSpec) -> list[float]:
     xi = 0.5 if spec.xi is None else spec.xi
     r = 1.0 if spec.r is None else spec.r
-    start = spec.start_index or 1
-    return [spec.limit + xi ** n / math.factorial(n) ** r * _model_tail(spec, n)
-            for n in range(start, start + spec.count)]
+    return _model_values(spec, lambda n: xi ** n / math.factorial(n) ** r)
 
 
 def _gen_geometric(spec: ProblemSpec) -> list[float]:
@@ -295,6 +302,17 @@ def _e1_scaled_continued_fraction(z: float, itmax: int = 10_000) -> float:
     return h
 
 
+def _e1_scaled_series(z: float) -> float:
+    """``exp(z) E1(z)`` from ``E1(z) = -gamma - ln z - sum_k (-z)^k / (k k!)``:
+    the cross-check below z = 0.006, where the continued fraction runs out of steps."""
+    total, term, k = 0.0, 1.0, 0  # term = (-z)^k / k!
+    while abs(term) > 1e-17:
+        k += 1
+        term *= -z / k
+        total += term / k
+    return math.exp(z) * (-0.5772156649015329 - math.log(z) - total)
+
+
 def _e1_scaled_exp_sinh(z: float) -> tuple[float, float]:
     """``exp(z) E1(z) = int_0^inf exp(-t)/(z+t) dt`` by the exp-sinh rule.
 
@@ -348,7 +366,7 @@ def e1_quadrature(z: float) -> ReferenceValue:
     if not (z > 0.0 and math.isfinite(z)):
         raise BadParameter("e1_quadrature needs z > 0")
     value, estimate = _e1_scaled_exp_sinh(z)
-    cross = _e1_scaled_continued_fraction(z)
+    cross = _e1_scaled_continued_fraction(z) if z >= 0.006 else _e1_scaled_series(z)
     deviation = abs(value - cross)
     accuracy = max(estimate, deviation, 1e-16 * abs(value)) / abs(value)
     return ReferenceValue(z * value, "quadrature", accuracy)

@@ -691,8 +691,8 @@ def parse_transform(text: str) -> TransformSpec:
         for item in params.split(","):
             key, _, value = item.partition("=")
             key = key.strip()
-            if key not in ("theta", "beta"):
-                raise BadParameter(f"unknown transform parameter {key!r} in {text!r}")
+            if key != {"rho-osada": "theta", "levin-u": "beta", "levin-v": "beta"}.get(name):
+                raise BadParameter(f"{name} takes no parameter {key!r} (in {text!r})")
             try:
                 kwargs[key] = float(value)
             except ValueError as exc:

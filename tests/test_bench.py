@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -201,6 +202,39 @@ class TestBuiltinFixtures:
         assert summary.passed, summary.describe()
 
 
+class TestReproductionBytes:
+    """SHA-256 of each built-in fixture run's CSV, so no paper row can move unseen.
+
+    The CSV prints ``repr`` of values computed through ``math.gamma``,
+    ``math.log`` and ``math.exp``, so these digests are tied to the libm of
+    the platform they were taken on (CPython 3.11, x86-64 Linux, glibc).
+    """
+
+    DIGESTS = {
+        "table1": "f13d9bfd5fa336ed0407b8633ac54458ff0902fd2a456bd974cc683b38b1f58b",
+        "table2": "ac03b75cd08e43f46f7dbf2b6e6c1929f20028aea502b5dfcb226f059599b6d1",
+        "table3": "4b6728fb1303be082087d4ff199e1ca6fe5b3f790790e9c53999407d725676ec",
+        "table4": "4bc5fa4a29373b72f6a8bd47916c6b63c2123d6232372eca5f5f76b2cef51456",
+        "table5": "c9ab8659a49ac3803802cd4296d7e92f0c5e312f252da759f41cce2bf5ac3e14",
+        "table6": "a804d33ccd99ceee80efbd27d6b88ebfb8ff0268042a273e2b70866f9a651600",
+        "table7": "99d39b2a085d466021385c4ef818d4fcb5ccaaadeee7a10a284e9a68a8eaed7c",
+    }
+    #: perfbench's paper-fixtures ``csv_digest`` of the same seven CSVs
+    COMBINED = "822c037d84f69393abf537f585e59cbb6db659d8771f6f527fb0216c386d7c63"
+
+    def test_csv_digests(self):
+        texts = {name: render(run(config_for_fixture(load_fixture(builtin_fixture_path(name)))),
+                              "csv")
+                 for name in builtin_fixtures()}
+        digests = {name: hashlib.sha256(text.encode()).hexdigest()
+                   for name, text in texts.items()}
+        assert digests == self.DIGESTS
+        combined = hashlib.sha256()  # perfbench/worker.py's ``digest`` rule
+        for name in sorted(texts):
+            combined.update(name.encode() + b"\0" + texts[name].encode() + b"\0")
+        assert combined.hexdigest() == self.COMBINED
+
+
 class TestCli:
     def test_run_to_stdout(self, capsys):
         code = cli_main(["run", "--problem", "alt-ln2", "--transform", "seps",
@@ -241,6 +275,22 @@ class TestCli:
         code = cli_main(["run", "--problem", "model-log:start=-1", "--transform", "epsilon"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["--problem", "model-linear:xi=2", "--transform", "epsilon", "--n-max", "1200"],
+        ["--problem", "model-hyper:r=0.5", "--transform", "epsilon", "--n-max", "300"],
+        ["--problem", "model-log:eta=400", "--transform", "epsilon"],
+    ])
+    def test_overflowing_problem_exit_two(self, capsys, argv):
+        assert cli_main(["run", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_ignored_transform_parameter_exit_two(self, capsys):
+        code = cli_main(["run", "--problem", "alt-ln2", "--transform", "epsilon:beta=2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert parse_transform("levin-u:beta=2").beta == 2.0
+        assert parse_transform("rho-osada:theta=0.5").theta == 0.5
 
     def test_check_never_loads_scipy(self):
         # A fresh interpreter, so that modules the test session loaded do not count.

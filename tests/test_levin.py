@@ -17,6 +17,7 @@ from seqaccel import (
 )
 
 from conftest import alternating_sample, assert_tables_bitwise, rel_diff
+from oracles import levin_sum_entries
 
 
 def u4_rational_form(s, n):
@@ -74,6 +75,47 @@ class TestLevinGeneral:
             other = b.entry(*key)
             if entry.is_valid and other.is_valid and key[0] <= 6:
                 assert rel_diff(entry.value + 10.0, other.value) <= 1e-11
+
+
+class TestLevinRecursion:
+    """The O(N^2) column recursion against the binomial-sum oracle."""
+
+    @pytest.mark.parametrize("beta", [1.0, 7.0])
+    def test_matches_binomial_sums(self, rng, beta):
+        sample = alternating_sample(rng, 32)
+        explicit = [(-1.0) ** n * rng.uniform(0.5, 2.0) for n in range(32)]
+        # missing, non-finite and sub-guard estimates: absent and unstable entries
+        gappy = list(explicit)
+        gappy[5], gappy[12], gappy[20], gappy[26] = None, math.nan, math.inf, 1e-40
+        for estimates in (RemainderEstimates.u_variant(sample, beta),
+                          RemainderEstimates.v_variant(sample),
+                          RemainderEstimates.explicit(explicit),
+                          RemainderEstimates(tuple(gappy), "explicit")):
+            table = levin_general(sample, beta, estimates)
+            oracle = levin_sum_entries(sample, beta, estimates)
+            assert set(table.entries) == set(oracle)
+            for key, expected in oracle.items():
+                if key[0] > 30:
+                    continue
+                entry = table.entry(*key)
+                assert entry.status == expected.status, key
+                if expected.is_valid:
+                    assert rel_diff(entry.value, expected.value) <= 1e-12, key
+
+    @pytest.mark.parametrize("beta", [1.0, 7.0])
+    def test_exact_on_model_sequences(self, rng, beta):
+        # Levin, Int. J. Comput. Math. B3 (1973) 371-388: L_k^(n) = S whenever
+        # S_n = S + w_n sum_{j<k} c_j / (beta+n)^j.
+        limit = 0.75
+        omega = [(-1.0) ** n / (n + 1) for n in range(16)]
+        for k in range(1, 5):
+            coeffs = [rng.uniform(-1.0, 1.0) for _ in range(k)]
+            values = [limit + w * sum(c / (beta + n) ** j for j, c in enumerate(coeffs))
+                      for n, w in enumerate(omega)]
+            table = levin_general(SequenceSample(values=tuple(values)), beta,
+                                  RemainderEstimates.explicit(omega))
+            for n in range(len(omega) - k):
+                assert abs(table.value(k, n) - limit) <= 1e-12, (k, n)
 
 
 class TestLevinU:
