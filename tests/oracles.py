@@ -4,8 +4,19 @@ package's fast algorithms against.  Nothing under ``src/`` imports this."""
 from __future__ import annotations
 
 import math
+from typing import Callable
 
-from seqaccel import EntryStatus, RemainderEstimates, SequenceSample, TableEntry
+from seqaccel import (
+    BadRule,
+    EntryStatus,
+    FRule,
+    InsufficientData,
+    RemainderEstimates,
+    SequenceSample,
+    TableEntry,
+    TransformSpec,
+    TransformTable,
+)
 from seqaccel.core import guard_threshold
 
 
@@ -50,3 +61,278 @@ def levin_sum_entries(sample: SequenceSample, beta: float,
                 else math.nan
             entries[(k, n)] = TableEntry(v, EntryStatus.VALID) if math.isfinite(v) else unstable
     return entries
+
+
+# ---------------------------------------------------------------------------
+# Frozen table builders.  Oracles: verbatim copies of the package's lozenge,
+# theta, iterated and theta-started builders, kept unchanged so that rewrites
+# of the package's kernels can be checked entry by entry against them.
+# ---------------------------------------------------------------------------
+
+_VALID = EntryStatus.VALID
+_UNSTABLE = EntryStatus.UNSTABLE
+
+
+class _Builder:
+    """Entry store with guard bookkeeping and unstable-status propagation."""
+
+    def __init__(self) -> None:
+        self.guard = guard_threshold()
+        self.values: dict[tuple[int, int], float] = {}
+        self.status: dict[tuple[int, int], EntryStatus] = {}
+
+    def put(self, k: int, n: int, value: float) -> None:
+        if math.isfinite(value):
+            self.values[(k, n)] = value
+            self.status[(k, n)] = _VALID
+        else:
+            self.poison(k, n)
+
+    def poison(self, k: int, n: int) -> None:
+        self.values[(k, n)] = math.nan
+        self.status[(k, n)] = _UNSTABLE
+
+    def ok(self, *keys: tuple[int, int]) -> bool:
+        return all(self.status.get(key) is _VALID for key in keys)
+
+    def entries(self) -> dict[tuple[int, int], TableEntry]:
+        return {
+            key: TableEntry(self.values[key], self.status[key]) for key in self.values
+        }
+
+
+def _lozenge(sample: SequenceSample, numerator: Callable[[int, int], float]) -> _Builder:
+    """Shared four-entry recursion with zero/identity starting columns.
+
+    Builds ``T_{k+1}^(n) = T_{k-1}^(n+1) + numerator(k, n) / (T_k^(n+1) - T_k^(n))``
+    column by column from ``T_{-1} = 0`` and ``T_0^(n) = S_n``.
+    """
+    s = sample.values
+    N = sample.last_offset
+    b = _Builder()
+    for n in range(N + 1):
+        b.put(-1, n + 1, 0.0)
+        b.put(0, n, s[n])
+    b.put(-1, 0, 0.0)
+    for k in range(N):
+        for n in range(N - k):
+            if not b.ok((k - 1, n + 1), (k, n + 1), (k, n)):
+                b.poison(k + 1, n)
+                continue
+            den = b.values[(k, n + 1)] - b.values[(k, n)]
+            if abs(den) < b.guard:
+                b.poison(k + 1, n)
+                continue
+            num = numerator(k, n)
+            b.put(k + 1, n, b.values[(k - 1, n + 1)] + num / den)
+    for n in range(N + 2):
+        b.values.pop((-1, n), None)
+        b.status.pop((-1, n), None)
+    return b
+
+
+def _eval_rule(rule: FRule, k: int, n: int, sample: SequenceSample) -> float:
+    try:
+        v = float(rule.evaluate(k, n, sample))
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise BadRule(f"rule {rule.name!r} failed at (k={k}, n={n}): {exc}") from exc
+    if not math.isfinite(v):
+        raise BadRule(f"rule {rule.name!r} returned a nonfinite value at (k={k}, n={n})")
+    return v
+
+
+def iterated_aitken(sample: SequenceSample) -> TransformTable:
+    """Iterated delta-squared table ``A_k^(n)``; every order is an approximant.
+
+    ``A_0^(n) = S_n`` and each level applies the delta-squared formula to the
+    previous level, consuming ``S_n .. S_{n+2k}`` per entry.  The first level
+    equals epsilon's second column.
+    """
+    if sample.last_offset < 2:
+        raise InsufficientData("iterated_aitken needs at least three elements")
+    N = sample.last_offset
+    b = _Builder()
+    for n in range(N + 1):
+        b.put(0, n, sample.values[n])
+    k = 0
+    while 2 * (k + 1) <= N:
+        for n in range(N - 2 * (k + 1) + 1):
+            if not b.ok((k, n), (k, n + 1), (k, n + 2)):
+                b.poison(k + 1, n)
+                continue
+            a0 = b.values[(k, n)]
+            a1 = b.values[(k, n + 1)]
+            a2 = b.values[(k, n + 2)]
+            dd = a2 - 2.0 * a1 + a0
+            if abs(dd) < b.guard:
+                b.poison(k + 1, n)
+                continue
+            d = a1 - a0
+            b.put(k + 1, n, a0 - d * d / dd)
+        k += 1
+    return TransformTable(
+        kind=TransformSpec("iterated-aitken"),
+        entries=b.entries(),
+        width=lambda k: 2 * k,
+        sample_length=len(sample),
+        approximant_step=1,
+    )
+
+
+def theta(sample: SequenceSample) -> TransformTable:
+    """Brezinski's theta table.
+
+    Odd columns follow the epsilon-type reciprocal rule; even columns divide a
+    product of first differences by a second difference of the odd column,
+    which is what lets the scheme handle logarithmic convergence as well.
+    Entry widths are ``3k`` for column ``2k`` and ``3k + 1`` for ``2k + 1``.
+    """
+    if sample.last_offset < 3:
+        raise InsufficientData("theta needs at least four elements")
+    N = sample.last_offset
+    b = _Builder()
+    for n in range(N + 2):
+        b.put(-1, n, 0.0)
+    for n in range(N + 1):
+        b.put(0, n, sample.values[n])
+    k = 0
+    while True:
+        made = False
+        # odd column 2k+1, width 3k+1
+        for n in range(N - (3 * k + 1) + 1):
+            if not b.ok((2 * k - 1, n + 1), (2 * k, n + 1), (2 * k, n)):
+                b.poison(2 * k + 1, n)
+                continue
+            den = b.values[(2 * k, n + 1)] - b.values[(2 * k, n)]
+            if abs(den) < b.guard:
+                b.poison(2 * k + 1, n)
+                continue
+            b.put(2 * k + 1, n, b.values[(2 * k - 1, n + 1)] + 1.0 / den)
+            made = True
+        # even column 2k+2, width 3(k+1)
+        for n in range(N - 3 * (k + 1) + 1):
+            keys = ((2 * k, n + 2), (2 * k, n + 1),
+                    (2 * k + 1, n + 2), (2 * k + 1, n + 1), (2 * k + 1, n))
+            if not b.ok(*keys):
+                b.poison(2 * k + 2, n)
+                continue
+            den = (b.values[(2 * k + 1, n + 2)] - 2.0 * b.values[(2 * k + 1, n + 1)]
+                   + b.values[(2 * k + 1, n)])
+            if abs(den) < b.guard:
+                b.poison(2 * k + 2, n)
+                continue
+            num = ((b.values[(2 * k, n + 2)] - b.values[(2 * k, n + 1)])
+                   * (b.values[(2 * k + 1, n + 2)] - b.values[(2 * k + 1, n + 1)]))
+            b.put(2 * k + 2, n, b.values[(2 * k, n + 1)] + num / den)
+            made = True
+        if not made:
+            break
+        k += 1
+    for n in range(N + 2):
+        b.values.pop((-1, n), None)
+        b.status.pop((-1, n), None)
+    return TransformTable(
+        kind=TransformSpec("theta"),
+        entries=b.entries(),
+        width=lambda k: 3 * (k // 2) + (k % 2),
+        sample_length=len(sample),
+        approximant_step=2,
+    )
+
+
+def iterated_theta(sample: SequenceSample) -> TransformTable:
+    """Iteration of the second-order theta value; every order approximates.
+
+    ``J_0^(n) = S_n`` and each level applies the form-1 second-order theta
+    expression to the previous level, consuming ``S_n .. S_{n+3k}``.
+    """
+    if sample.last_offset < 3:
+        raise InsufficientData("iterated_theta needs at least four elements")
+    N = sample.last_offset
+    b = _Builder()
+    for n in range(N + 1):
+        b.put(0, n, sample.values[n])
+    k = 0
+    while 3 * (k + 1) <= N:
+        for n in range(N - 3 * (k + 1) + 1):
+            keys = tuple((k, n + i) for i in range(4))
+            if not b.ok(*keys):
+                b.poison(k + 1, n)
+                continue
+            j0, j1, j2, j3 = (b.values[key] for key in keys)
+            d0 = j1 - j0
+            d1 = j2 - j1
+            d2 = j3 - j2
+            dd0 = j2 - 2.0 * j1 + j0
+            dd1 = j3 - 2.0 * j2 + j1
+            den = d2 * dd0 - d0 * dd1
+            if abs(den) < b.guard:
+                b.poison(k + 1, n)
+                continue
+            b.put(k + 1, n, j1 - d0 * d1 * dd1 / den)
+        k += 1
+    return TransformTable(
+        kind=TransformSpec("iterated-theta"),
+        entries=b.entries(),
+        width=lambda k: 3 * k,
+        sample_length=len(sample),
+        approximant_step=1,
+    )
+
+
+def _seps_width(k: int) -> int:
+    if k <= 1:
+        return k
+    return k + 1
+
+
+def _seps_engine(sample: SequenceSample, rule: FRule, spec: TransformSpec) -> TransformTable:
+    """Generic recursion with the theta-type starting column.
+
+    Starting columns: ``T_0^(n) = S_n``, ``T_1^(n) = 1/dS_n`` and ``T_2^(n)``
+    equal to the form-1 second-order theta value; orders ``k >= 2`` follow
+    ``T_{k+1}^(n) = T_{k-1}^(n+1) + rule(k, n) / (T_k^(n+1) - T_k^(n))``.
+    """
+    s = sample.values
+    N = sample.last_offset
+    if N < 3:
+        raise InsufficientData("the theta-started recursion needs at least four elements")
+    b = _Builder()
+    for n in range(N + 1):
+        b.put(0, n, s[n])
+    for n in range(N):
+        den = s[n + 1] - s[n]
+        if abs(den) < b.guard:
+            b.poison(1, n)
+        else:
+            b.put(1, n, 1.0 / den)
+    for n in range(N - 2):
+        d0 = s[n + 1] - s[n]
+        d1 = s[n + 2] - s[n + 1]
+        d2 = s[n + 3] - s[n + 2]
+        dd0 = s[n + 2] - 2.0 * s[n + 1] + s[n]
+        dd1 = s[n + 3] - 2.0 * s[n + 2] + s[n + 1]
+        den = d2 * dd0 - d0 * dd1
+        if abs(den) < b.guard:
+            b.poison(2, n)
+        else:
+            b.put(2, n, s[n + 1] - d0 * d1 * dd1 / den)
+    for k in range(2, N):
+        # entry (k+1, n) consumes S_n .. S_{n+k+2}
+        for n in range(N - (k + 2) + 1):
+            if not b.ok((k - 1, n + 1), (k, n + 1), (k, n)):
+                b.poison(k + 1, n)
+                continue
+            den = b.values[(k, n + 1)] - b.values[(k, n)]
+            if abs(den) < b.guard:
+                b.poison(k + 1, n)
+                continue
+            num = _eval_rule(rule, k, n, sample)
+            b.put(k + 1, n, b.values[(k - 1, n + 1)] + num / den)
+    return TransformTable(
+        kind=spec,
+        entries=b.entries(),
+        width=_seps_width,
+        sample_length=len(sample),
+        approximant_step=2,
+    )
