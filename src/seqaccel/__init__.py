@@ -2,8 +2,8 @@
 
 Epsilon/rho/theta-style lozenge recursions, Levin-type transformations with
 explicit remainder estimates, a generalized recursion engine closing over all
-of them, reduced-Bessel/Pade oracles, test-series generators, and a benchmark
-CLI that checks error tables against transcribed fixtures.
+of them, test-series generators with reference limits, and a benchmark CLI
+that checks error tables against transcribed fixtures.
 """
 
 __version__ = "0.1.0"
@@ -35,8 +35,6 @@ from .levin import (
     levin_general,
     levin_u,
     levin_v,
-    u2_explicit,
-    v1_explicit,
 )
 from .problems import (
     NoReference,
@@ -45,25 +43,15 @@ from .problems import (
     available_problems,
     e1_quadrature,
     generate,
+    inv_z_series_terms,
     parse_problem,
     reference,
-)
-from .special import (
-    HalfIntOrder,
-    bessel_poly_theta,
-    hankel_recursive,
-    inv_z_series_terms,
-    pade_exp,
-    rbf_at_zero,
-    rbf_half,
-    shanks_determinant,
 )
 from .transforms import (
     FRule,
     aitken_delta2,
     apply,
     available_transforms,
-    decay_estimate,
     epsilon,
     epsilon_low_memory,
     generic_f,
@@ -76,7 +64,6 @@ from .transforms import (
     seps_f1,
     seps_rule,
     theta,
-    theta2,
 )
 
 __all__ = [
@@ -89,17 +76,12 @@ __all__ = [
     "StaircaseEntry", "partial_sums", "staircase_entry", "error_against",
     # transforms
     "FRule", "aitken_delta2", "iterated_aitken", "epsilon",
-    "epsilon_low_memory", "rho", "rho_osada", "decay_estimate", "theta",
-    "theta2", "iterated_theta", "generic_f", "seps_f1", "seps", "seps_rule",
-    "apply", "parse_transform", "available_transforms",
+    "epsilon_low_memory", "rho", "rho_osada", "theta", "iterated_theta",
+    "generic_f", "seps_f1", "seps", "seps_rule", "apply", "parse_transform",
+    "available_transforms",
     # levin
     "RemainderEstimates", "levin_general", "levin_u", "levin_v",
-    "u2_explicit", "v1_explicit",
-    # special
-    "HalfIntOrder", "rbf_half", "rbf_at_zero", "bessel_poly_theta",
-    "pade_exp", "shanks_determinant", "hankel_recursive",
-    "inv_z_series_terms",
     # problems
     "NoReference", "ProblemSpec", "ReferenceValue", "generate", "reference",
-    "e1_quadrature", "parse_problem", "available_problems",
+    "e1_quadrature", "inv_z_series_terms", "parse_problem", "available_problems",
 ]

@@ -13,6 +13,7 @@ failure, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -104,15 +105,11 @@ def _merge_config(args: argparse.Namespace) -> None:
 def _with_defaults(spec: TransformSpec, args: argparse.Namespace) -> TransformSpec:
     theta = spec.theta
     beta = spec.beta
-    if theta is None and spec.kind == "rho-osada" and args.theta is not None:
+    if theta is None and spec.kind == "rho-osada":
         theta = args.theta
-    if beta is None and spec.kind.startswith("levin") and args.beta is not None:
+    if beta is None and spec.kind.startswith("levin"):
         beta = args.beta
-    if theta is spec.theta and beta is spec.beta:
-        return spec
-    return TransformSpec(spec.kind, theta=theta, beta=beta,
-                         points_mode=spec.points_mode, f_rules=spec.f_rules,
-                         extra=spec.extra)
+    return dataclasses.replace(spec, theta=theta, beta=beta)
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -162,11 +159,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     fixture = load_fixture(path)
     config = config_for_fixture(fixture, fmt=args.fmt or "csv")
     if args.n_min is not None or args.n_max is not None:
-        config = RunConfig(
-            problems=config.problems, transforms=config.transforms,
+        config = dataclasses.replace(
+            config,
             n_min=args.n_min if args.n_min is not None else config.n_min,
             n_max=args.n_max if args.n_max is not None else config.n_max,
-            fmt=config.fmt,
         )
     report = run(config)
     summary = check_fixture(report, fixture)

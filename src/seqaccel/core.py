@@ -54,8 +54,9 @@ def guard_threshold() -> float:
         value = float(raw)
     except ValueError as exc:
         raise BadParameter(f"SEQACCEL_GUARD is not a number: {raw!r}") from exc
-    if not (value >= 0.0 and math.isfinite(value)):
-        raise BadParameter(f"SEQACCEL_GUARD must be finite and >= 0, got {value!r}")
+    # Zero would let an exactly vanishing denominator through to the division.
+    if not (value > 0.0 and math.isfinite(value)):
+        raise BadParameter(f"SEQACCEL_GUARD must be finite and > 0, got {value!r}")
     return value
 
 
@@ -192,8 +193,6 @@ class TransformSpec:
     kind: str
     theta: float | None = None
     beta: float | None = None
-    points_mode: str | None = None
-    f_rules: tuple = ()
     extra: Mapping[str, object] = field(default_factory=dict)
 
     def label(self) -> str:
@@ -234,9 +233,6 @@ class TransformTable:
 
     def status(self, k: int, n: int) -> EntryStatus:
         return self.entry(k, n).status
-
-    def max_order(self) -> int:
-        return max((k for k, _ in self.entries), default=0)
 
     def column(self, k: int) -> list[TableEntry]:
         ns = sorted(n for kk, n in self.entries if kk == k)

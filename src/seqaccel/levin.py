@@ -8,8 +8,7 @@ at a time by ``Y_{k+1}^(n) = Y_k^(n+1) - c_k^(n) Y_k^(n)`` with
 whole table (Fessler, Ford & Smith, ACM TOMS 9 (1983) 346-354; Weniger,
 Comput. Phys. Rep. 10 (1989) 189-371, eq. 7.2-8).  The ``u`` and ``v``
 variants derive the estimates from the input data itself and therefore
-start one element late (they read ``S_{n-1}``).  The closed second-order
-forms ``u2_explicit`` and ``v1_explicit`` serve the tests as oracles.
+start one element late (they read ``S_{n-1}``).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .core import (
     TableEntry,
     TransformSpec,
     TransformTable,
-    UnstableValue,
     guard_threshold,
 )
 
@@ -36,8 +34,6 @@ __all__ = [
     "levin_general",
     "levin_u",
     "levin_v",
-    "u2_explicit",
-    "v1_explicit",
 ]
 
 
@@ -163,39 +159,3 @@ def levin_v(sample: SequenceSample, beta: float = 1.0) -> TransformTable:
     if sample.last_offset < 2:
         raise InsufficientData("levin_v needs at least three elements")
     return levin_general(sample, beta, RemainderEstimates.v_variant(sample))
-
-
-def u2_explicit(sample: SequenceSample, n: int) -> float:
-    """Second-order u value in its cancellation-resistant form.
-
-    ``u_2^(n) = S_n - dS_{n-1} dS_n d2S_n / (dS_{n+1} d2S_{n-1} - dS_{n-1} d2S_n)``;
-    independent of ``beta``.
-    """
-    s = sample.values
-    if n < 1 or n + 2 > sample.last_offset:
-        raise InsufficientData(f"u2_explicit needs offsets {n - 1}..{n + 2}")
-    d_1 = s[n] - s[n - 1]
-    d0 = s[n + 1] - s[n]
-    d1 = s[n + 2] - s[n + 1]
-    dd_1 = s[n + 1] - 2.0 * s[n] + s[n - 1]
-    dd0 = s[n + 2] - 2.0 * s[n + 1] + s[n]
-    den = d1 * dd_1 - d_1 * dd0
-    if abs(den) < guard_threshold():
-        raise UnstableValue("u2 denominator below guard")
-    return s[n] - d_1 * d0 * dd0 / den
-
-
-def v1_explicit(sample: SequenceSample, n: int) -> float:
-    """First-order v value; equals ``u2_explicit`` at the same offset."""
-    s = sample.values
-    if n < 1 or n + 2 > sample.last_offset:
-        raise InsufficientData(f"v1_explicit needs offsets {n - 1}..{n + 2}")
-    d_1 = s[n] - s[n - 1]
-    d0 = s[n + 1] - s[n]
-    d1 = s[n + 2] - s[n + 1]
-    dd_1 = s[n + 1] - 2.0 * s[n] + s[n - 1]
-    dd0 = s[n + 2] - 2.0 * s[n + 1] + s[n]
-    den = d_1 * dd0 - d1 * dd_1
-    if abs(den) < guard_threshold():
-        raise UnstableValue("v1 denominator below guard")
-    return s[n] + d0 * d_1 * dd0 / den

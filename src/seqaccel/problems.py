@@ -3,9 +3,11 @@
 Each named problem produces a sample of partial sums (or model-sequence
 elements) plus a reference limit with explicit provenance: verbatim digits,
 a closed form, or double-exponential quadrature (Takahasi & Mori, Publ. RIMS
-9 (1974) 721-741) cross-checked against an independent continued fraction.
+9 (1974) 721-741) cross-checked against an independent continued fraction or series.
 The divergent Euler series is generated by a stable term recursion and
-truncated, with a warning, before terms overflow.
+truncated, with a warning, before terms overflow.  The ``1/z`` expansion in
+reduced Bessel functions comes from their upward three-term recursion
+(:func:`inv_z_series_terms`).
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ import warnings
 from dataclasses import dataclass
 
 from .core import (
+    BadArgument,
     BadParameter,
     SeqAccelError,
     SequenceSample,
 )
-from .special import inv_z_series_terms
 
 __all__ = [
     "NoReference",
@@ -28,6 +30,7 @@ __all__ = [
     "generate",
     "reference",
     "e1_quadrature",
+    "inv_z_series_terms",
     "parse_problem",
     "available_problems",
 ]
@@ -138,6 +141,38 @@ def _gen_lemniscate(spec: ProblemSpec) -> list[float]:
         sums.append(acc)
         t *= (2 * m + 1) / (2 * m + 2)
     return sums
+
+
+def inv_z_series_terms(z: float, count: int) -> list[float]:
+    """Terms ``kh_{m-1/2}(z) / (2^m m!)`` of the ``1/z`` expansion.
+
+    ``kh_nu(z) = (2/pi)^(1/2) z^nu K_nu(z)`` is the reduced Bessel function; at
+    half-integral order it follows the upward-stable recursion
+    ``kh_{nu+1} = 2 nu kh_nu + z^2 kh_{nu-1}`` from ``kh_{-1/2} = exp(-z)/z``
+    and ``kh_{1/2} = exp(-z)``.  The division by ``2^m m!`` is interleaved with
+    the recursion so the carried pair stays of order one (the raw function
+    values grow like ``2^m (1/2)_m``).  Terms decay like ``m^(-3/2)``; the
+    partial sums approach ``1/z`` like ``n^(-1/2)``.  If a nonfinite value ever
+    appears the list is truncated there, so a short result flags the unstable
+    tail.
+    """
+    z = float(z)
+    if not (z > 0.0 and math.isfinite(z)):
+        raise BadArgument("inv_z_series_terms needs z > 0")
+    if count < 1:
+        raise BadParameter("inv_z_series_terms needs count >= 1")
+    terms: list[float] = []
+    p = math.exp(-z) / z  # kh_{m-1/2} / (2^m m!) at m = 0
+    c = math.exp(-z)      # kh_{m+1/2} / (2^m m!) at m = 0
+    z2 = z * z
+    for m in range(count):
+        if not math.isfinite(p):
+            break
+        terms.append(p)
+        nxt = 2.0 * (m + 0.5) * c + z2 * p
+        den = 2.0 * (m + 1)
+        p, c = c / den, nxt / den
+    return terms
 
 
 def _gen_rbf_invz(spec: ProblemSpec) -> list[float]:
@@ -283,7 +318,9 @@ def _e1_scaled_continued_fraction(z: float, itmax: int = 10_000) -> float:
 
     Independent cross-check for the quadrature route; the scaled form avoids
     both the overflow of ``exp(z)`` and the underflow of ``E1(z)``.  It
-    converges in about ``53 / z`` steps, so ``itmax`` covers z >= 0.006.
+    converges in about ``53 / z`` steps, so ``itmax`` covers z >= 0.006, but
+    below about z = 0.01 its thousands of steps accumulate rounding beyond
+    1e-12; :func:`e1_quadrature` uses it for z >= 0.05 only.
     """
     tiny = 1e-300
     b = z + 1.0
@@ -304,7 +341,7 @@ def _e1_scaled_continued_fraction(z: float, itmax: int = 10_000) -> float:
 
 def _e1_scaled_series(z: float) -> float:
     """``exp(z) E1(z)`` from ``E1(z) = -gamma - ln z - sum_k (-z)^k / (k k!)``:
-    the cross-check below z = 0.006, where the continued fraction runs out of steps."""
+    the cross-check below z = 0.05, where the continued fraction loses accuracy."""
     total, term, k = 0.0, 1.0, 0  # term = (-z)^k / k!
     while abs(term) > 1e-17:
         k += 1
@@ -366,7 +403,7 @@ def e1_quadrature(z: float) -> ReferenceValue:
     if not (z > 0.0 and math.isfinite(z)):
         raise BadParameter("e1_quadrature needs z > 0")
     value, estimate = _e1_scaled_exp_sinh(z)
-    cross = _e1_scaled_continued_fraction(z) if z >= 0.006 else _e1_scaled_series(z)
+    cross = _e1_scaled_continued_fraction(z) if z >= 0.05 else _e1_scaled_series(z)
     deviation = abs(value - cross)
     accuracy = max(estimate, deviation, 1e-16 * abs(value)) / abs(value)
     return ReferenceValue(z * value, "quadrature", accuracy)

@@ -41,9 +41,7 @@ __all__ = [
     "epsilon_low_memory",
     "rho",
     "rho_osada",
-    "decay_estimate",
     "theta",
-    "theta2",
     "iterated_theta",
     "generic_f",
     "seps_f1",
@@ -68,32 +66,19 @@ class FRule:
     """
 
     evaluate: Callable[[int, int, SequenceSample], float]
-    n_dependent: bool = False
     window: int = 0
     name: str = "custom"
 
     @staticmethod
     def constant(c: float) -> "FRule":
         c = float(c)
-        return FRule(lambda k, n, s: c, n_dependent=False, name=f"const({c:g})")
+        return FRule(lambda k, n, s: c, name=f"const({c:g})")
 
     @staticmethod
     def order_shift(theta: float) -> "FRule":
         """``F_k = k + theta`` (``theta = 1`` gives the standard rho numerator)."""
         theta = float(theta)
-        return FRule(lambda k, n, s: k + theta, n_dependent=False, name=f"k+{theta:g}")
-
-    @staticmethod
-    def linear(f0: Callable[[int, SequenceSample], float],
-               f1: Callable[[int, SequenceSample], float],
-               window: int = 0, name: str = "linear") -> "FRule":
-        """``F_k^(n) = F_0^(n) + k [F_1^(n) - F_0^(n)]`` from two offset rules."""
-
-        def ev(k: int, n: int, s: SequenceSample) -> float:
-            a = f0(n, s)
-            return a + k * (f1(n, s) - a)
-
-        return FRule(ev, n_dependent=True, window=window, name=name)
+        return FRule(lambda k, n, s: k + theta, name=f"k+{theta:g}")
 
 
 def _diffs(s: tuple[float, ...], n: int):
@@ -102,6 +87,23 @@ def _diffs(s: tuple[float, ...], n: int):
     d1 = s[n + 2] - s[n + 1]
     dd0 = s[n + 2] - 2.0 * s[n + 1] + s[n]
     return d0, d1, dd0
+
+
+def _theta1(j0: float, j1: float, j2: float, j3: float, guard: float) -> float:
+    """Form-1 second-order theta value of the window ``j0 .. j3``, NaN below the guard.
+
+    ``J_1 - dJ_0 dJ_1 d2J_1 / (dJ_2 d2J_0 - dJ_0 d2J_1)``: the second column of
+    the theta-started recursion and each level of the iterated theta table.
+    """
+    d0 = j1 - j0
+    d1 = j2 - j1
+    d2 = j3 - j2
+    dd0 = j2 - 2.0 * j1 + j0
+    dd1 = j3 - 2.0 * j2 + j1
+    den = d2 * dd0 - d0 * dd1
+    if abs(den) < guard:
+        return math.nan
+    return j1 - d0 * d1 * dd1 / den
 
 
 # ---------------------------------------------------------------------------
@@ -139,72 +141,6 @@ def seps_f1(sample: SequenceSample, n: int) -> float:
     if abs(den) < guard_threshold():
         raise UnstableValue("composite denominator below guard")
     return dd0 * dd1 / den
-
-
-def theta2(sample: SequenceSample, n: int, form: int = 1, beta: float = 1.0) -> float:
-    """Second-order theta value by one of its algebraically equal forms.
-
-    Forms 1, 2 and 7 share the denominator ``dS_{n+2} d2S_n - dS_n d2S_{n+1}``;
-    form 3 is the ratio of second differences of ``S_{n+1}/dS_n`` and
-    ``1/dS_n``.  ``beta`` is accepted for interface uniformity with the
-    Levin-type variants and ignored (the value does not depend on it).
-    """
-    del beta
-    s = sample.values
-    if n < 0 or n + 3 > sample.last_offset:
-        raise InsufficientData(f"theta2 needs offsets {n}..{n + 3}")
-    guard = guard_threshold()
-    d0 = s[n + 1] - s[n]
-    d1 = s[n + 2] - s[n + 1]
-    d2 = s[n + 3] - s[n + 2]
-    dd0 = s[n + 2] - 2.0 * s[n + 1] + s[n]
-    dd1 = s[n + 3] - 2.0 * s[n + 2] + s[n + 1]
-    if form in (1, 2, 7):
-        den = d2 * dd0 - d0 * dd1
-        if abs(den) < guard:
-            raise UnstableValue("theta2 denominator below guard")
-        if form == 1:
-            return s[n + 1] - d0 * d1 * dd1 / den
-        if form == 2:
-            return (s[n + 1] * d2 * dd0 - s[n + 2] * d0 * dd1) / den
-        return s[n + 3] - d2 * (d2 * dd0 + d1 * d1 - d2 * d0) / den
-    if form == 3:
-        if min(abs(d0), abs(d1), abs(d2)) < guard:
-            raise UnstableValue("first difference below guard")
-        u0 = s[n + 1] / d0
-        u1 = s[n + 2] / d1
-        u2 = s[n + 3] / d2
-        v0 = 1.0 / d0
-        v1 = 1.0 / d1
-        v2 = 1.0 / d2
-        den = v2 - 2.0 * v1 + v0
-        if abs(den) < guard:
-            raise UnstableValue("theta2 form-3 denominator below guard")
-        return (u2 - 2.0 * u1 + u0) / den
-    raise BadParameter(f"theta2 form must be one of 1, 2, 3, 7 (got {form})")
-
-
-def decay_estimate(sample: SequenceSample) -> list[float]:
-    """Estimates ``T_n`` of the decay exponent of an algebraically decaying remainder.
-
-    ``T_n = d2S_n d2S_{n+1} / (dS_{n+1} d2S_{n+1} - dS_{n+2} d2S_n) - 1``,
-    one value per offset ``n = 0 .. N-3``; guarded entries come back as NaN.
-    For remainders ``~ (n+b)^(-t)`` the estimates converge to ``t`` like
-    ``O(1/n^2)``.
-    """
-    s = sample.values
-    if sample.last_offset < 3:
-        raise InsufficientData("decay_estimate needs at least four elements")
-    guard = guard_threshold()
-    out: list[float] = []
-    for n in range(sample.last_offset - 2):
-        d1 = s[n + 2] - s[n + 1]
-        d2 = s[n + 3] - s[n + 2]
-        dd0 = s[n + 2] - 2.0 * s[n + 1] + s[n]
-        dd1 = s[n + 3] - 2.0 * s[n + 2] + s[n + 1]
-        den = d1 * dd1 - d2 * dd0
-        out.append(dd0 * dd1 / den - 1.0 if abs(den) >= guard else math.nan)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +249,7 @@ def rho(sample: SequenceSample, points_mode: str = "standard") -> TransformTable
         if sample.points is None:
             raise MissingPoints("rho with points_mode='sample' needs sample points")
         x = sample.points
-        spec = TransformSpec("rho-points", points_mode="sample")
+        spec = TransformSpec("rho-points")
     else:
         raise BadParameter(f"unknown points_mode {points_mode!r}")
     b = _lozenge(sample, lambda k, n: x[n + k + 1] - x[n])
@@ -466,17 +402,7 @@ def iterated_theta(sample: SequenceSample) -> TransformTable:
             if not b.ok(*keys):
                 b.poison(k + 1, n)
                 continue
-            j0, j1, j2, j3 = (b.values[key] for key in keys)
-            d0 = j1 - j0
-            d1 = j2 - j1
-            d2 = j3 - j2
-            dd0 = j2 - 2.0 * j1 + j0
-            dd1 = j3 - 2.0 * j2 + j1
-            den = d2 * dd0 - d0 * dd1
-            if abs(den) < b.guard:
-                b.poison(k + 1, n)
-                continue
-            b.put(k + 1, n, j1 - d0 * d1 * dd1 / den)
+            b.put(k + 1, n, _theta1(*(b.values[key] for key in keys), b.guard))
         k += 1
     return TransformTable(
         kind=TransformSpec("iterated-theta"),
@@ -514,16 +440,7 @@ def _seps_engine(sample: SequenceSample, rule: FRule, spec: TransformSpec) -> Tr
         else:
             b.put(1, n, 1.0 / den)
     for n in range(N - 2):
-        d0 = s[n + 1] - s[n]
-        d1 = s[n + 2] - s[n + 1]
-        d2 = s[n + 3] - s[n + 2]
-        dd0 = s[n + 2] - 2.0 * s[n + 1] + s[n]
-        dd1 = s[n + 3] - 2.0 * s[n + 2] + s[n + 1]
-        den = d2 * dd0 - d0 * dd1
-        if abs(den) < b.guard:
-            b.poison(2, n)
-        else:
-            b.put(2, n, s[n + 1] - d0 * d1 * dd1 / den)
+        b.put(2, n, _theta1(s[n], s[n + 1], s[n + 2], s[n + 3], b.guard))
     for k in range(2, N):
         # entry (k+1, n) consumes S_n .. S_{n+k+2}
         for n in range(N - (k + 2) + 1):
@@ -580,7 +497,7 @@ def seps_rule(sample: SequenceSample) -> FRule:
             cache[n] = seps_f1(s, n)
         return 1.0 - k + k * cache[n]
 
-    return FRule(ev, n_dependent=True, window=3, name="seps")
+    return FRule(ev, window=3, name="seps")
 
 
 def seps(sample: SequenceSample) -> TransformTable:
@@ -589,8 +506,7 @@ def seps(sample: SequenceSample) -> TransformTable:
     Entry widths are 0, 1 and ``k + 1`` for ``k >= 2``: the starting
     second-order column already consumes four elements.
     """
-    table = _seps_engine(sample, seps_rule(sample), TransformSpec("seps"))
-    return table
+    return _seps_engine(sample, seps_rule(sample), TransformSpec("seps"))
 
 
 def epsilon_low_memory(sample: SequenceSample) -> list[TableEntry]:
@@ -656,7 +572,6 @@ _BUILDERS: dict[str, Callable[[SequenceSample, TransformSpec], TransformTable]] 
     "epsilon": lambda s, spec: epsilon(s),
     "iterated-aitken": lambda s, spec: iterated_aitken(s),
     "rho": lambda s, spec: rho(s, "standard"),
-    "rho-points": lambda s, spec: rho(s, "sample"),
     "rho-osada": lambda s, spec: rho_osada(s, spec.theta if spec.theta is not None else 1.0),
     "theta": lambda s, spec: theta(s),
     "iterated-theta": lambda s, spec: iterated_theta(s),

@@ -1,12 +1,28 @@
 """Test-side oracles: slow, direct evaluations that the tests compare the
-package's fast algorithms against.  Nothing under ``src/`` imports this."""
+package's algorithms against.  Nothing under ``src/`` imports this.
+
+* :func:`e_algorithm` -- Brezinski's E-algorithm in exact rational arithmetic,
+  with the auxiliary sequences :func:`shanks_aux` (epsilon's even columns)
+  and :func:`levin_aux` (Levin's u and v tables).
+* :func:`levin_sum_entries` -- every Levin entry as a fresh binomial sum,
+  for the column recursion of ``levin_general``.
+* :func:`theta2` -- the second-order theta value in four algebraically
+  equal forms, for the theta-started and iterated theta columns.
+* :func:`pade_exp` -- closed-form Pade approximants of ``exp``, for the
+  epsilon table on exponential partial sums.
+* Frozen table builders (``_lozenge``, ``theta``, ``iterated_aitken``,
+  ``iterated_theta``, ``_seps_engine``) -- verbatim copies of the package's
+  builders, for bitwise per-entry checks of every registered transform.
+"""
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from fractions import Fraction
+from typing import Callable, Sequence
 
 from seqaccel import (
+    BadParameter,
     BadRule,
     EntryStatus,
     FRule,
@@ -16,8 +32,122 @@ from seqaccel import (
     TableEntry,
     TransformSpec,
     TransformTable,
+    UnstableValue,
 )
 from seqaccel.core import guard_threshold
+
+
+def e_algorithm(values: Sequence[float], aux: Callable[[int, int], Fraction],
+                k: int, n: int) -> Fraction:
+    """Oracle: ``E_k^(n)`` of Brezinski's E-algorithm, exactly.
+
+    ``E_k^(n)`` is the ``E`` that solves ``S_{n+j} = E + sum_{i=1..k} a_i g_i(n+j)``
+    for ``j = 0 .. k``, with ``g_i(m) = aux(i, m)`` (Brezinski, Numer. Math. 35
+    (1980) 175-187).  Each double is taken as the rational it stores and every
+    step is exact, so the only rounding is the caller's conversion of the
+    result.  Raises ``ZeroDivisionError`` where the system is singular.
+    """
+    e = [Fraction(values[n + j]) for j in range(k + 1)]
+    g = [[Fraction(aux(i, n + j)) for j in range(k + 1)] for i in range(1, k + 1)]
+    for level in range(k):
+        p = g[level]  # g_{level+1}, eliminated at this level
+        for row in [e] + g[level + 1:]:
+            row[:] = [(row[j] * p[j + 1] - row[j + 1] * p[j]) / (p[j + 1] - p[j])
+                      for j in range(len(row) - 1)]
+    return e[0]
+
+
+def shanks_aux(values: Sequence[float]) -> Callable[[int, int], Fraction]:
+    """``g_i(m) = dS_{m+i-1}``: then ``E_k^(n)`` is Shanks' ``e_k(S_n)``, epsilon's
+    entry ``(2k, n)``."""
+    s = [Fraction(v) for v in values]
+    return lambda i, m: s[m + i] - s[m + i - 1]
+
+
+def levin_aux(values: Sequence[float], variant: str,
+              beta: float = 1.0) -> Callable[[int, int], Fraction]:
+    """``g_i(m) = w_m (beta+m)^(1-i)`` with Levin's ``u`` estimate
+    ``w_m = (beta+m) dS_{m-1}`` or ``v`` estimate ``w_m = -dS_{m-1} dS_m / d2S_{m-1}``:
+    then ``E_k^(n)`` is Levin's ``L_k^(n)``."""
+    s = [Fraction(v) for v in values]
+    b = Fraction(beta)
+
+    def w(m: int) -> Fraction:
+        d0 = s[m] - s[m - 1]
+        if variant == "u":
+            return (b + m) * d0
+        d1 = s[m + 1] - s[m]
+        return -d0 * d1 / (d1 - d0)
+
+    return lambda i, m: w(m) * (b + m) ** (1 - i)
+
+
+def theta2(sample: SequenceSample, n: int, form: int = 1) -> float:
+    """Oracle: second-order theta value by one of its algebraically equal forms.
+
+    Forms 1, 2 and 7 share the denominator ``dS_{n+2} d2S_n - dS_n d2S_{n+1}``;
+    form 3 is the ratio of second differences of ``S_{n+1}/dS_n`` and
+    ``1/dS_n``.
+    """
+    s = sample.values
+    if n < 0 or n + 3 > sample.last_offset:
+        raise InsufficientData(f"theta2 needs offsets {n}..{n + 3}")
+    guard = guard_threshold()
+    d0 = s[n + 1] - s[n]
+    d1 = s[n + 2] - s[n + 1]
+    d2 = s[n + 3] - s[n + 2]
+    dd0 = s[n + 2] - 2.0 * s[n + 1] + s[n]
+    dd1 = s[n + 3] - 2.0 * s[n + 2] + s[n + 1]
+    if form in (1, 2, 7):
+        den = d2 * dd0 - d0 * dd1
+        if abs(den) < guard:
+            raise UnstableValue("theta2 denominator below guard")
+        if form == 1:
+            return s[n + 1] - d0 * d1 * dd1 / den
+        if form == 2:
+            return (s[n + 1] * d2 * dd0 - s[n + 2] * d0 * dd1) / den
+        return s[n + 3] - d2 * (d2 * dd0 + d1 * d1 - d2 * d0) / den
+    if form == 3:
+        if min(abs(d0), abs(d1), abs(d2)) < guard:
+            raise UnstableValue("first difference below guard")
+        u0 = s[n + 1] / d0
+        u1 = s[n + 2] / d1
+        u2 = s[n + 3] / d2
+        v0 = 1.0 / d0
+        v1 = 1.0 / d1
+        v2 = 1.0 / d2
+        den = v2 - 2.0 * v1 + v0
+        if abs(den) < guard:
+            raise UnstableValue("theta2 form-3 denominator below guard")
+        return (u2 - 2.0 * u1 + u0) / den
+    raise BadParameter(f"theta2 form must be one of 1, 2, 3, 7 (got {form})")
+
+
+def _hyp1f1_terminating(n: int, b: float, x: float) -> float:
+    """``1F1(-n; b; x)`` for integer ``n >= 0`` as a finite sum."""
+    total = 1.0
+    term = 1.0
+    for j in range(1, n + 1):
+        term *= (j - 1 - n) / (b + j - 1) * x / j
+        total += term
+    return total
+
+
+def pade_exp(n: int, m: int, z: float) -> float:
+    """Oracle: closed-form Pade approximant ``[n/m]`` of ``exp`` at ``z``.
+
+    Ratio of two terminating confluent hypergeometric sums; on the real axis
+    some off-diagonal approximants have poles, which surface as a sub-guard
+    denominator.
+    """
+    if n < 0 or m < 0:
+        raise BadParameter("pade_exp needs n, m >= 0")
+    z = float(z)
+    num = _hyp1f1_terminating(n, -float(n + m) if n + m else 1.0, z)
+    den = _hyp1f1_terminating(m, -float(n + m) if n + m else 1.0, -z)
+    if abs(den) < guard_threshold():
+        raise UnstableValue(f"[{n}/{m}] of exp has a pole near z={z:g}")
+    return num / den
 
 
 def levin_sum_entries(sample: SequenceSample, beta: float,

@@ -271,6 +271,14 @@ class TestCli:
         assert code == 2
         assert "did you mean" in capsys.readouterr().err
 
+    def test_zero_guard_exit_two(self, capsys, monkeypatch):
+        # a zero guard would let the exactly geometric input divide by zero
+        monkeypatch.setenv("SEQACCEL_GUARD", "0")
+        code = cli_main(["run", "--problem", "geometric", "--transform", "epsilon",
+                         "--n-max", "8"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_negative_start_exit_two(self, capsys):
         code = cli_main(["run", "--problem", "model-log:start=-1", "--transform", "epsilon"])
         assert code == 2

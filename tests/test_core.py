@@ -156,8 +156,9 @@ class TestGuardOverride:
             aitken_delta2(s, 0)
 
     def test_env_guard_validation(self, monkeypatch):
-        monkeypatch.setenv("SEQACCEL_GUARD", "not-a-number")
         from seqaccel.core import BadParameter, guard_threshold
 
-        with pytest.raises(BadParameter):
-            guard_threshold()
+        for raw in ("not-a-number", "0"):
+            monkeypatch.setenv("SEQACCEL_GUARD", raw)
+            with pytest.raises(BadParameter):
+                guard_threshold()

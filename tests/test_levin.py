@@ -6,27 +6,14 @@ from seqaccel import (
     BadEstimates,
     RemainderEstimates,
     SequenceSample,
-    UnstableValue,
     levin_general,
     levin_u,
     levin_v,
     staircase_entry,
-    theta2,
-    u2_explicit,
-    v1_explicit,
 )
 
 from conftest import alternating_sample, assert_tables_bitwise, rel_diff
-from oracles import levin_sum_entries
-
-
-def u4_rational_form(s, n):
-    """Alternative expression for the order-2 u value, used as a dual-formula oracle."""
-    d = [s[i + 1] - s[i] for i in range(len(s) - 1)]
-    dd = [d[i + 1] - d[i] for i in range(len(d) - 1)]
-    num = s[n] * d[n + 1] * dd[n - 1] - s[n + 1] * d[n - 1] * dd[n]
-    den = d[n + 1] * dd[n - 1] - d[n - 1] * dd[n]
-    return num / den
+from oracles import e_algorithm, levin_aux, levin_sum_entries, theta2
 
 
 class TestLevinGeneral:
@@ -102,6 +89,19 @@ class TestLevinRecursion:
                 if expected.is_valid:
                     assert rel_diff(entry.value, expected.value) <= 1e-12, key
 
+    @pytest.mark.parametrize("variant", ["u", "v"])
+    def test_matches_e_algorithm(self, rng, variant):
+        # Levin's L_k^(n) is the E-algorithm with g_i(n) = w_n (beta+n)^(1-i)
+        for beta in (1.0, 7.0):
+            sample = alternating_sample(rng, 12)
+            table = levin_general(sample, beta, RemainderEstimates.u_variant(sample, beta)
+                                  if variant == "u" else RemainderEstimates.v_variant(sample))
+            aux = levin_aux(sample.values, variant, beta)
+            for (k, n), entry in table.entries.items():
+                if 1 <= k <= 7:
+                    exact = e_algorithm(sample.values, aux, k, n)
+                    assert rel_diff(entry.value, exact) <= 1e-12, (k, n)
+
     @pytest.mark.parametrize("beta", [1.0, 7.0])
     def test_exact_on_model_sequences(self, rng, beta):
         # Levin, Int. J. Comput. Math. B3 (1973) 371-388: L_k^(n) = S whenever
@@ -123,8 +123,9 @@ class TestLevinU:
         for _ in range(10):
             sample = alternating_sample(rng, 12)
             table = levin_u(sample, beta=1.0)
+            aux = levin_aux(sample.values, "u")
             for n in range(1, 9):
-                assert rel_diff(table.value(2, n), u2_explicit(sample, n)) <= 1e-12
+                assert rel_diff(table.value(2, n), e_algorithm(sample.values, aux, 2, n)) <= 1e-12
 
     def test_beta_independence_of_order2(self, rng):
         sample = alternating_sample(rng, 12)
@@ -145,40 +146,20 @@ class TestLevinU:
         assert (entry.k, entry.n) == (7, 1)
 
 
-class TestU2Explicit:
-    def test_dual_formula(self, rng):
-        for _ in range(10):
-            sample = alternating_sample(rng, 8)
-            for n in range(1, 5):
-                assert rel_diff(u2_explicit(sample, n),
-                                u4_rational_form(sample.values, n)) <= 1e-12
-
-    def test_equals_v1(self, rng):
-        sample = alternating_sample(rng, 8)
-        for n in range(1, 5):
-            assert rel_diff(u2_explicit(sample, n), v1_explicit(sample, n)) <= 1e-12
-
-    def test_geometric_exact(self):
-        s = SequenceSample(values=tuple(1.0 + 0.3 ** n for n in range(5)))
-        assert abs(u2_explicit(s, 1) - 1.0) <= 1e-12
-
-    def test_guarded(self):
-        s = SequenceSample(values=(0.0, 1.0, 2.0, 3.0))
-        with pytest.raises(UnstableValue):
-            u2_explicit(s, 1)
-
-
 class TestLevinV:
     def test_v1_is_theta2_shifted(self, rng):
         sample = alternating_sample(rng, 12)
+        aux = levin_aux(sample.values, "v")
         for n in range(8):
-            assert rel_diff(v1_explicit(sample, n + 1), theta2(sample, n, 1)) <= 1e-12
+            v1 = e_algorithm(sample.values, aux, 1, n + 1)
+            assert rel_diff(v1, theta2(sample, n, 1)) <= 1e-12
 
     def test_table_matches_explicit(self, rng):
         sample = alternating_sample(rng, 12)
         table = levin_v(sample)
+        aux = levin_aux(sample.values, "v")
         for n in range(1, 8):
-            assert rel_diff(table.value(1, n), v1_explicit(sample, n)) <= 1e-12
+            assert rel_diff(table.value(1, n), e_algorithm(sample.values, aux, 1, n)) <= 1e-12
 
     def test_sign_convention_immaterial(self, rng):
         sample = alternating_sample(rng, 10)

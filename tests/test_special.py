@@ -1,106 +1,18 @@
 import math
 
-import numpy as np
 import pytest
 
 from seqaccel import (
     BadArgument,
     BadParameter,
-    HalfIntOrder,
-    SequenceSample,
     UnstableValue,
-    aitken_delta2,
-    bessel_poly_theta,
     epsilon,
-    hankel_recursive,
     inv_z_series_terms,
-    pade_exp,
     partial_sums,
-    rbf_at_zero,
-    rbf_half,
-    shanks_determinant,
 )
 
 from conftest import rel_diff
-
-
-def pochhammer_half(n):
-    p = 1.0
-    for i in range(n):
-        p *= 0.5 + i
-    return p
-
-
-def hyp1f1_terminating(n, b, x):
-    total, term = 1.0, 1.0
-    for j in range(1, n + 1):
-        term *= (j - 1 - n) / (b + j - 1) * x / j
-        total += term
-    return total
-
-
-class TestRbfHalf:
-    def test_starting_values(self):
-        assert rbf_half(0, 1.0) == math.exp(-1.0)
-        assert rbf_half(-1, 2.0) == math.exp(-2.0) / 2.0
-
-    def test_order_one_closed_form(self):
-        z = 1.0
-        assert abs(rbf_half(1, z) - (1.0 + z) * math.exp(-z)) < 1e-15
-        assert abs(rbf_half(1, 1.0) - 0.7357588823428847) < 1e-14
-
-    def test_zero_limit(self):
-        assert abs(rbf_half(2, 1e-9) - 3.0) < 1e-7
-
-    def test_domain(self):
-        with pytest.raises(BadArgument):
-            rbf_half(0, 0.0)
-        with pytest.raises(BadArgument):
-            rbf_half(-2, 1.0)
-        assert rbf_half(HalfIntOrder(3), 1.0) == rbf_half(3, 1.0)
-
-    @pytest.mark.parametrize("z", [0.3, 0.7, 1.0, 2.5])
-    def test_recursion_vs_terminating_series(self, z):
-        for n in range(0, 11):
-            closed = (rbf_at_zero(n) * math.exp(-z)
-                      * hyp1f1_terminating(n, -2.0 * n if n else 1.0, 2.0 * z))
-            assert rel_diff(rbf_half(n, z), closed) <= 1e-12
-
-    def test_positivity_and_bound(self):
-        for n in range(0, 31):
-            cap = rbf_at_zero(n)
-            for z in [0.1 * i for i in range(1, 101)]:
-                v = rbf_half(n, z)
-                assert 0.0 < v <= cap
-
-    def test_negative_order_symmetry(self):
-        for z in (0.5, 1.0, 3.0):
-            assert rbf_half(-1, z) == rbf_half(0, z) / z
-
-
-class TestRbfAtZero:
-    def test_values(self):
-        assert rbf_at_zero(0) == 1.0
-        assert rbf_at_zero(2) == 3.0
-        assert rbf_at_zero(5) == 945.0
-        assert rbf_at_zero(5) == math.factorial(10) / (2 ** 5 * math.factorial(5))
-
-
-class TestBesselPoly:
-    def test_low_orders(self):
-        for z in (-1.3, 0.0, 0.4, 2.0):
-            assert bessel_poly_theta(0, z) == 1.0
-            assert abs(bessel_poly_theta(1, z) - (1.0 + z)) < 1e-14
-
-    def test_matches_scaled_rbf(self):
-        for z in (0.5, 1.0, 2.0):
-            for n in range(0, 8):
-                assert rel_diff(bessel_poly_theta(n, z),
-                                math.exp(z) * rbf_half(n, z)) <= 1e-12
-
-    def test_asymptotic_dominant_term(self):
-        ratio = bessel_poly_theta(6, 1.0) / (rbf_at_zero(6) * math.e)
-        assert abs(ratio - 1.0) < 0.2
+from oracles import pade_exp
 
 
 class TestPadeExp:
@@ -112,13 +24,6 @@ class TestPadeExp:
         z = 1e-3
         for n, m in [(1, 1), (2, 1), (2, 2), (3, 3)]:
             assert abs(pade_exp(n, m, z) - math.exp(z)) <= 10.0 ** (-3 * (n + m + 1) + 2)
-
-    def test_diagonal_bessel_identity(self):
-        for n in range(1, 6):
-            for z in (0.4, 0.9, 1.7):
-                lhs = pade_exp(n, n, z)
-                rhs = bessel_poly_theta(n, z / 2.0) / bessel_poly_theta(n, -z / 2.0)
-                assert rel_diff(lhs, rhs) <= 1e-12
 
     def test_pole(self):
         # [0/1] of exp is 1/(1 - z): pole at z = 1
@@ -136,70 +41,6 @@ class TestPadeExp:
                 for n in range(0, 4):
                     assert rel_diff(table.value(2 * k, n),
                                     pade_exp(k + n, k, z)) <= 1e-10
-
-
-class TestShanksDeterminant:
-    def test_order_zero_and_one(self, rng):
-        values = tuple(rng.uniform(-1, 1) for _ in range(8))
-        s = SequenceSample(values=values)
-        assert shanks_determinant(s, 0, 3) == values[3]
-        for n in range(4):
-            assert rel_diff(shanks_determinant(s, 1, n), aitken_delta2(s, n)) <= 1e-12
-
-    def test_two_exponential_exactness(self):
-        s = SequenceSample(values=tuple(
-            2.0 + 1.3 * 0.8 ** n - 0.4 * 0.5 ** n for n in range(10)))
-        for n in range(3):
-            assert abs(shanks_determinant(s, 2, n) - 2.0) <= 1e-10
-
-    def test_matches_numpy_det(self, rng):
-        values = [0.0]
-        for i in range(12):
-            values.append(values[-1] + (-1.0) ** i * rng.uniform(0.5, 1.5))
-        s = SequenceSample(values=tuple(values))
-        d = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-        for k in (2, 3):
-            top = np.empty((k + 1, k + 1))
-            bot = np.empty((k + 1, k + 1))
-            for j in range(k + 1):
-                top[0, j] = values[j]
-                bot[0, j] = 1.0
-                for i in range(1, k + 1):
-                    top[i, j] = d[j + i - 1]
-                    bot[i, j] = d[j + i - 1]
-            ref = np.linalg.det(top) / np.linalg.det(bot)
-            assert rel_diff(shanks_determinant(s, k, 0), float(ref)) <= 1e-10
-
-    def test_order_cap(self, rng):
-        s = SequenceSample(values=tuple(float(i) for i in range(20)))
-        with pytest.raises(BadParameter):
-            shanks_determinant(s, 5, 0)
-
-
-class TestHankel:
-    def test_initialization(self):
-        assert hankel_recursive([4.0, 5.0, 6.0], 1, 0) == 4.0
-        assert hankel_recursive([4.0, 5.0], 0, 0) == 1.0
-
-    def test_order_two_direct(self, rng):
-        u = [rng.uniform(0.5, 2.0) for _ in range(6)]
-        for n in range(2):
-            direct = u[n] * u[n + 2] - u[n + 1] ** 2
-            assert rel_diff(hankel_recursive(u, 2, n), direct) <= 1e-13
-
-    def test_arithmetic_sequence_rank_deficient(self):
-        u = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
-        assert hankel_recursive(u, 3, 0) == 0.0
-
-    def test_matches_elimination(self, rng):
-        u = [rng.uniform(0.5, 2.0) for _ in range(16)]
-        for k in range(1, 6):
-            mat = np.array([[u[i + j] for j in range(k)] for i in range(k)])
-            assert rel_diff(hankel_recursive(u, k, 0), float(np.linalg.det(mat))) <= 1e-8
-
-    def test_order_cap(self):
-        with pytest.raises(BadParameter):
-            hankel_recursive(list(range(30)), 7, 0)
 
 
 class TestInvZSeries:
