@@ -3,11 +3,11 @@
 Each named problem produces a sample of partial sums (or model-sequence
 elements) plus a reference limit with explicit provenance: verbatim digits,
 a closed form, or double-exponential quadrature (Takahasi & Mori, Publ. RIMS
-9 (1974) 721-741) cross-checked against an independent continued fraction or series.
-The divergent Euler series is generated by a stable term recursion and
-truncated, with a warning, before terms overflow.  The ``1/z`` expansion in
-reduced Bessel functions comes from their upward three-term recursion
-(:func:`inv_z_series_terms`).
+9 (1974) 721-741) cross-checked against an independent continued fraction
+or series.  The divergent Euler series is generated by a stable term
+recursion and truncated, with a warning, before terms overflow.  The ``1/z``
+expansion in reduced Bessel functions comes from their upward three-term
+recursion (:func:`inv_z_series_terms`).
 """
 
 from __future__ import annotations

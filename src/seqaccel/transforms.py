@@ -89,6 +89,10 @@ def _diffs(s: tuple[float, ...], n: int):
     return d0, d1, dd0
 
 
+# ---------------------------------------------------------------------------
+# scalar building blocks
+# ---------------------------------------------------------------------------
+
 def _theta1(j0: float, j1: float, j2: float, j3: float, guard: float) -> float:
     """Form-1 second-order theta value of the window ``j0 .. j3``, NaN below the guard.
 
@@ -105,10 +109,6 @@ def _theta1(j0: float, j1: float, j2: float, j3: float, guard: float) -> float:
         return math.nan
     return j1 - d0 * d1 * dd1 / den
 
-
-# ---------------------------------------------------------------------------
-# scalar building blocks
-# ---------------------------------------------------------------------------
 
 def aitken_delta2(sample: SequenceSample, n: int) -> float:
     """Delta-squared value ``S_n - (dS_n)^2 / d2S_n``.

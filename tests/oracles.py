@@ -11,8 +11,9 @@ package's algorithms against.  Nothing under ``src/`` imports this.
 * :func:`pade_exp` -- closed-form Pade approximants of ``exp``, for the
   epsilon table on exponential partial sums.
 * Frozen table builders (``_lozenge``, ``theta``, ``iterated_aitken``,
-  ``iterated_theta``, ``_seps_engine``) -- verbatim copies of the package's
-  builders, for bitwise per-entry checks of every registered transform.
+  ``iterated_theta``, ``_seps_engine``) -- frozen copies of the package's
+  original builders, for bitwise per-entry checks of every registered
+  transform.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def levin_sum_entries(sample: SequenceSample, beta: float,
 
 
 # ---------------------------------------------------------------------------
-# Frozen table builders.  Oracles: verbatim copies of the package's lozenge,
+# Frozen table builders.  Oracles: copies of the package's original lozenge,
 # theta, iterated and theta-started builders, kept unchanged so that rewrites
 # of the package's kernels can be checked entry by entry against them.
 # ---------------------------------------------------------------------------

@@ -368,10 +368,12 @@ def test_property_theta2_identity_chain(increments):
     for i, inc in enumerate(increments):
         values.append(values[-1] + ((-1.0) ** i) * inc)
     sample = SequenceSample(values=tuple(values))
+    u_aux = levin_aux(values, "u")
+    v_aux = levin_aux(values, "v")
     for n in range(sample.last_offset - 3):
         t2 = theta2(sample, n, 1)
-        u2 = e_algorithm(sample.values, levin_aux(sample.values, "u"), 2, n + 1)
-        v1 = e_algorithm(sample.values, levin_aux(sample.values, "v"), 1, n + 1)
+        u2 = e_algorithm(values, u_aux, 2, n + 1)
+        v1 = e_algorithm(values, v_aux, 1, n + 1)
         assert rel_diff(t2, u2) <= 1e-12
         assert rel_diff(t2, v1) <= 1e-12
 
