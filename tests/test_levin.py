@@ -16,6 +16,15 @@ from conftest import alternating_sample, assert_tables_bitwise, rel_diff
 from oracles import e_algorithm, levin_aux, levin_sum_entries, theta2
 
 
+def u4_rational_form(s, n):
+    """Alternative expression for the order-2 u value, used as a dual-formula oracle."""
+    d = [s[i + 1] - s[i] for i in range(len(s) - 1)]
+    dd = [d[i + 1] - d[i] for i in range(len(d) - 1)]
+    num = s[n] * d[n + 1] * dd[n - 1] - s[n + 1] * d[n - 1] * dd[n]
+    den = d[n + 1] * dd[n - 1] - d[n - 1] * dd[n]
+    return num / den
+
+
 class TestLevinGeneral:
     def test_order_zero_is_input(self, rng):
         sample = alternating_sample(rng, 10)
@@ -144,6 +153,30 @@ class TestLevinU:
         table = levin_u(alternating_sample(rng, 10))
         entry = staircase_entry(table, 8)
         assert (entry.k, entry.n) == (7, 1)
+
+
+class TestU2Explicit:
+    """Column 2 of the Levin u table against closed forms of its order-2 value."""
+
+    def test_dual_formula(self, rng):
+        for _ in range(10):
+            sample = alternating_sample(rng, 8)
+            table = levin_u(sample)
+            for n in range(1, 5):
+                assert rel_diff(table.value(2, n),
+                                u4_rational_form(sample.values, n)) <= 1e-12
+
+    def test_equals_v1(self, rng):
+        sample = alternating_sample(rng, 8)
+        table = levin_u(sample)
+        aux = levin_aux(sample.values, "v")
+        for n in range(1, 5):
+            v1 = e_algorithm(sample.values, aux, 1, n)
+            assert rel_diff(table.value(2, n), v1) <= 1e-12
+
+    def test_geometric_exact(self):
+        s = SequenceSample(values=tuple(1.0 + 0.3 ** n for n in range(5)))
+        assert abs(levin_u(s).value(2, 1) - 1.0) <= 1e-12
 
 
 class TestLevinV:

@@ -12,8 +12,10 @@ from seqaccel import (
     FRule,
     MissingPoints,
     SequenceSample,
+    TransformSpec,
     UnstableValue,
     aitken_delta2,
+    apply,
     epsilon,
     epsilon_low_memory,
     generic_f,
@@ -254,6 +256,12 @@ class TestTheta2Forms:
     def test_bad_form(self, rng):
         with pytest.raises(BadParameter):
             theta2(alternating_sample(rng, 5), 0, 4)
+
+    def test_beta_ignored(self, rng):
+        # the theta table, whose column 2 is theta2, takes no beta
+        sample = alternating_sample(rng, 5)
+        assert_tables_bitwise(apply(TransformSpec("theta", beta=1.0), sample),
+                              apply(TransformSpec("theta", beta=9.0), sample))
 
 
 class TestIteratedTheta:
